@@ -130,62 +130,6 @@ bool EmissionDominated(const Graph& g, const NgdSet& sigma, GraphView view) {
 
 }  // namespace
 
-void RemapRunInfo(const DetectRunInfo& inner, const OptimizeReport& report,
-                  size_t original_rules, DetectRunInfo* out) {
-  out->truncated = inner.truncated;
-  // Kept rules copy their marks from the minimized run.
-  std::vector<int8_t> mark(original_rules, -1);  // -1 unresolved, 0/1 known
-  for (size_t i = 0; i < report.kept.size(); ++i) {
-    const size_t orig = static_cast<size_t>(report.kept[i]);
-    mark[orig] = i < inner.rule_completed.size() && inner.rule_completed[i]
-                     ? 1
-                     : (inner.truncated ? 0 : 1);
-  }
-  // Dropped rules propagate completion through the implication cover:
-  // rule d's violations are covered by the rules that implied it, so d's
-  // report is complete exactly when every (transitive) implier finished
-  // enumerating. The implied_by edges always point to rules that were
-  // alive at drop time, so the relation is a DAG rooted at kept rules.
-  const bool have_cover = report.implied_by.size() == original_rules;
-  std::vector<int> stack;
-  for (int d : report.dropped) {
-    if (mark[static_cast<size_t>(d)] != -1) continue;
-    if (!have_cover || report.implied_by[static_cast<size_t>(d)].empty()) {
-      // No recorded cover (defensive): fall back to the conservative
-      // whole-run mark.
-      mark[static_cast<size_t>(d)] = inner.truncated ? 0 : 1;
-      continue;
-    }
-    stack.push_back(d);
-    while (!stack.empty()) {
-      const size_t r = static_cast<size_t>(stack.back());
-      bool ready = true;
-      bool all_complete = true;
-      for (int j : report.implied_by[r]) {
-        const int8_t m = mark[static_cast<size_t>(j)];
-        if (m == -1) {
-          if (!have_cover || report.implied_by[static_cast<size_t>(j)].empty()) {
-            mark[static_cast<size_t>(j)] = inner.truncated ? 0 : 1;
-            if (mark[static_cast<size_t>(j)] == 0) all_complete = false;
-            continue;
-          }
-          stack.push_back(j);
-          ready = false;
-        } else if (m == 0) {
-          all_complete = false;
-        }
-      }
-      if (!ready) continue;
-      mark[r] = all_complete ? 1 : 0;
-      stack.pop_back();
-    }
-  }
-  out->rule_completed.assign(original_rules, 0);
-  for (size_t r = 0; r < original_rules; ++r) {
-    out->rule_completed[r] = mark[r] == 1 ? 1 : 0;
-  }
-}
-
 bool WantSnapshot(const Graph& g, const NgdSet& sigma, GraphView view) {
   // Regime guard and seed counting agree on the view being detected: a
   // graph whose edges are all pending in the OTHER view must not pay a
@@ -236,16 +180,13 @@ VioSet Dect(const Graph& g, const NgdSet& sigma, const DectOptions& opts) {
   // Σ-optimizer wiring: detect against the implication-minimized rule set
   // and remap rule indices back to the caller's Σ. One re-entry, with the
   // mode cleared, keeps the engine body oblivious to minimization.
-  DectOptions inner;
-  MinimizedSigma m;
-  if (BeginMinimizedDetection(sigma, g.schema(), opts, &inner, &m)) {
-    DetectRunInfo inner_info;
-    inner.run_info = &inner_info;
-    VioSet vio = RemapViolations(Dect(g, m.sigma, inner), m.report.kept);
-    if (opts.run_info != nullptr) {
-      RemapRunInfo(inner_info, m.report, sigma.size(), opts.run_info);
-    }
-    return vio;
+  if (auto vio = DetectMinimized(
+          sigma, g.schema(), opts,
+          [&](const NgdSet& kept_sigma, const DectOptions& inner,
+              const std::vector<int>& kept) {
+            return RemapViolations(Dect(g, kept_sigma, inner), kept);
+          })) {
+    return *std::move(vio);
   }
 
   std::optional<GraphSnapshot> snap;
@@ -276,20 +217,17 @@ std::optional<Violation> FindAnyViolation(const Graph& g, const NgdSet& sigma,
   // Minimization preserves emptiness (a dropped rule's violation always
   // comes with a kept rule's violation), so validation may sweep the kept
   // rules only; the witness index is remapped back to the caller's Σ.
-  DectOptions inner;
-  MinimizedSigma m;
-  if (BeginMinimizedDetection(sigma, g.schema(), opts, &inner, &m)) {
-    DetectRunInfo inner_info;
-    inner.run_info = &inner_info;
-    std::optional<Violation> witness = FindAnyViolation(g, m.sigma, inner);
-    if (witness.has_value()) {
-      witness->ngd_index =
-          m.report.kept[static_cast<size_t>(witness->ngd_index)];
-    }
-    if (opts.run_info != nullptr) {
-      RemapRunInfo(inner_info, m.report, sigma.size(), opts.run_info);
-    }
-    return witness;
+  if (auto witness = DetectMinimized(
+          sigma, g.schema(), opts,
+          [&](const NgdSet& kept_sigma, const DectOptions& inner,
+              const std::vector<int>& kept) {
+            std::optional<Violation> w = FindAnyViolation(g, kept_sigma, inner);
+            if (w.has_value()) {
+              w->ngd_index = kept[static_cast<size_t>(w->ngd_index)];
+            }
+            return w;
+          })) {
+    return *std::move(witness);
   }
 
   // Worst case (G |= Σ, the common validation outcome) is a full sweep,

@@ -34,25 +34,6 @@ enum class SnapshotMode : uint8_t {
   kNever,     ///< always match against the live overlay graph
 };
 
-/// Honest-partial-result report of one detection run (all engines). When
-/// a run is cancelled or hits its deadline it returns the violations
-/// found so far with `truncated` set; `rule_completed[f]` says whether
-/// rule f's enumeration finished, i.e. whether its reported violations
-/// are the complete set for that rule. An untruncated run marks every
-/// rule completed. Under Σ-minimization the marks are remapped to the
-/// caller's catalog through the implication cover: a dropped (implied)
-/// rule counts completed exactly when every rule that (transitively)
-/// implied it finished enumerating (see RemapRunInfo).
-struct DetectRunInfo {
-  bool truncated = false;
-  std::vector<char> rule_completed;  // indexed by the caller's Σ
-
-  void StartFull(size_t num_rules) {
-    truncated = false;
-    rule_completed.assign(num_rules, 1);
-  }
-};
-
 struct DectOptions {
   GraphView view = GraphView::kNew;
   /// Safety valve for adversarial rule sets: stop collecting per NGD after
@@ -87,17 +68,6 @@ struct DectOptions {
   /// detect/vio_stream.h).
   const VioSpillOptions* spill = nullptr;
 };
-
-/// Remaps a DetectRunInfo produced against a minimized Σ back to the
-/// caller's catalog: kept rules copy their marks; a dropped (implied)
-/// rule is complete iff every rule on its implication cover
-/// (OptimizeReport::implied_by, followed transitively to kept rules)
-/// completed — its violations are covered by exactly those rules, so a
-/// truncation elsewhere in the sweep does not poison its mark. Reports
-/// without a recorded cover (e.g. served from a pre-upgrade cache entry)
-/// fall back to the conservative whole-run mark.
-void RemapRunInfo(const DetectRunInfo& inner, const OptimizeReport& report,
-                  size_t original_rules, DetectRunInfo* out);
 
 /// The kAuto cost model, two regimes, both evaluated on `view` — the view
 /// detection will actually match (a pending-heavy overlay graph must not

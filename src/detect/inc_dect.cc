@@ -267,17 +267,15 @@ StatusOr<DeltaVio> IncDect(const Graph& g, const NgdSet& sigma,
   // the oracle even when the offending rule would have been dropped):
   // dropped (implied) rules spawn no pivot tasks; kept-rule deltas are
   // computed verbatim and remapped back to Σ.
-  IncDectOptions inner;
-  MinimizedSigma m;
-  if (BeginMinimizedDetection(sigma, g.schema(), opts, &inner, &m)) {
-    DetectRunInfo inner_info;
-    inner.run_info = &inner_info;
-    auto delta = IncDect(g, m.sigma, batch, inner);
-    if (!delta.ok()) return delta;
-    if (opts.run_info != nullptr) {
-      RemapRunInfo(inner_info, m.report, sigma.size(), opts.run_info);
-    }
-    return RemapDelta(*std::move(delta), m.report.kept);
+  if (auto delta = DetectMinimized(
+          sigma, g.schema(), opts,
+          [&](const NgdSet& kept_sigma, const IncDectOptions& inner,
+              const std::vector<int>& kept) -> StatusOr<DeltaVio> {
+            NGD_ASSIGN_OR_RETURN(DeltaVio d,
+                                 IncDect(g, kept_sigma, batch, inner));
+            return RemapDelta(std::move(d), kept);
+          })) {
+    return *std::move(delta);
   }
 
   UpdateIndex index(g, batch);

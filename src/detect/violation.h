@@ -348,6 +348,25 @@ class VioSet {
   std::unique_ptr<VioSpillState> spill_;  ///< null = plain resident set
 };
 
+/// Honest-partial-result report of one detection run (all engines). When
+/// a run is cancelled or hits its deadline it returns the violations
+/// found so far with `truncated` set; `rule_completed[f]` says whether
+/// rule f's enumeration finished, i.e. whether its reported violations
+/// are the complete set for that rule. An untruncated run marks every
+/// rule completed. Under Σ-minimization the marks are remapped to the
+/// caller's catalog through the implication cover: a dropped (implied)
+/// rule counts completed exactly when every rule that (transitively)
+/// implied it finished enumerating (see RemapRunInfo).
+struct DetectRunInfo {
+  bool truncated = false;
+  std::vector<char> rule_completed;  // indexed by the caller's Σ
+
+  void StartFull(size_t num_rules) {
+    truncated = false;
+    rule_completed.assign(num_rules, 1);
+  }
+};
+
 /// ΔVio = (ΔVio+, ΔVio-): violations introduced / removed by ΔG.
 struct DeltaVio {
   VioSet added;

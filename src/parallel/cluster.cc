@@ -1,6 +1,9 @@
 #include "parallel/cluster.h"
 
 #include <algorithm>
+#include <limits>
+#include <memory>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -49,6 +52,26 @@ FragmentRuntime::FragmentRuntime(const Graph& g, Partition part,
       halo_hops_(std::max(0, halo_hops)),
       partition_(std::move(part)) {
   fragments_ = BuildAllFragments(g, partition_, view_, halo_hops_);
+}
+
+FragmentRuntime::FragmentRuntime(const GraphSnapshot& snapshot)
+    : view_(snapshot.view()), halo_hops_(std::numeric_limits<int>::max()) {
+  const size_t n = snapshot.NumNodes();
+  FragmentSnapshot frag;
+  frag.halo_hops = halo_hops_;
+  // Aliasing constructor with an empty owner: a non-owning handle.
+  frag.csr = std::shared_ptr<const GraphSnapshot>(
+      std::shared_ptr<const GraphSnapshot>(), &snapshot);
+  frag.members.resize(n);
+  std::iota(frag.members.begin(), frag.members.end(), NodeId{0});
+  frag.owned = NodeSet(n);
+  for (NodeId v : frag.members) frag.owned.Add(v);
+  frag.candidates = FragmentCandidates(GraphAccessor(snapshot), frag.members);
+  partition_.fragment_of.assign(n, 0);
+  partition_.fragment_sizes = {n};
+  partition_.members = {frag.members};
+  partition_.boundary.resize(1);
+  fragments_.push_back(std::move(frag));
 }
 
 uint64_t FragmentRuntime::total_halo_nodes() const {

@@ -15,7 +15,8 @@
 //     message.
 //   - FragmentRuntime: the fragmented graph itself — p FragmentSnapshots
 //     (induced CSR + halo, parallel/fragment.h) built from one Partition,
-//     with per-fragment warm-start persistence.
+//     with per-fragment warm-start persistence; or one fragment over a
+//     borrowed whole-graph snapshot, shared by every worker.
 //
 // PDect runs fragment-native on a FragmentRuntime + WorkStealingPool;
 // PIncDect uses the pool with fragment ownership for pivot placement and
@@ -322,7 +323,9 @@ class WorkStealingPool {
 };
 
 /// The fragmented graph: p FragmentSnapshots over one Partition. Owns the
-/// per-fragment CSRs (built in parallel) and answers ownership queries.
+/// per-fragment CSRs (built in parallel) — or, as a one-fragment runtime,
+/// borrows a caller's whole-graph snapshot — and answers ownership
+/// queries.
 /// Thread-compatible by immutability: every member is written during
 /// construction (or Load) and only read afterwards, so all p workers share
 /// a runtime with no capability to hold — the thread-safety analysis has
@@ -341,6 +344,12 @@ class FragmentRuntime {
   /// Builds fragments over a caller-supplied partition.
   FragmentRuntime(const Graph& g, Partition part, GraphView view,
                   int halo_hops);
+
+  /// One fragment that owns every node of `snapshot` and borrows its CSR
+  /// (no copy, no partitioning; `snapshot` must outlive the runtime). A
+  /// lone fragment has no boundary and so no halo: it serves every rule
+  /// set, whatever its diameter.
+  explicit FragmentRuntime(const GraphSnapshot& snapshot);
 
   int num_fragments() const { return static_cast<int>(fragments_.size()); }
   GraphView view() const { return view_; }

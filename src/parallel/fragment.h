@@ -51,8 +51,10 @@ struct FragmentSnapshot {
   /// Halo depth d the fragment was built with; serves any rule set whose
   /// max pattern diameter is <= halo_hops.
   int halo_hops = 0;
-  /// Induced CSR over members ∪ halo, global node ids.
-  std::unique_ptr<GraphSnapshot> csr;
+  /// Induced CSR over members ∪ halo, global node ids. Owned by the
+  /// fragment, or borrowed from a caller that outlives it (a one-fragment
+  /// runtime over a whole-graph snapshot, parallel/cluster.h).
+  std::shared_ptr<const GraphSnapshot> csr;
   std::vector<NodeId> members;      ///< owned nodes, ascending
   std::vector<NodeId> halo;         ///< replicated nodes, ascending
   std::vector<int32_t> halo_owner;  ///< owner fragment of halo[i]

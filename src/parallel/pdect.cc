@@ -4,7 +4,6 @@
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <thread>
 
 #include "util/thread_annotations.h"
 #include "util/timer.h"
@@ -43,7 +42,7 @@ class FragmentDectEngine {
       : sigma_(sigma),
         opts_(opts),
         rt_(rt),
-        p_(rt.num_fragments()),
+        p_(std::max(1, opts.num_processors)),
         pool_(p_, &metrics_, opts.enable_steal && p_ > 1,
               opts.max_queue_depth),
         local_(p_) {
@@ -92,9 +91,12 @@ class FragmentDectEngine {
     }
 
     // Owner-computes seeding: fragment f expands exactly the candidates
-    // it owns, in seed_chunk-sized units (the steal granularity).
+    // it owns, in seed_chunk-sized units (the steal granularity). Worker f
+    // serves fragment f; a lone fragment that every worker shares deals
+    // its chunks round-robin instead.
     const size_t chunk = std::max<size_t>(1, opts_.seed_chunk);
-    for (int f = 0; f < p_; ++f) {
+    size_t dealt = 0;
+    for (int f = 0; f < rt_.num_fragments(); ++f) {
       const FragmentSnapshot& frag = rt_.fragment(f);
       for (size_t r = 0; r < sigma_.size(); ++r) {
         const size_t count = frag.candidates.Count(start_label_[r]);
@@ -105,7 +107,9 @@ class FragmentDectEngine {
           u.chunk_begin = static_cast<uint32_t>(b);
           u.chunk_end = static_cast<uint32_t>(std::min(b + chunk, count));
           pending_[r].fetch_add(1, std::memory_order_relaxed);
-          pool_.Seed(f, std::move(u));
+          const int worker =
+              rt_.num_fragments() == 1 ? static_cast<int>(dealt++ % p_) : f;
+          pool_.Seed(worker, std::move(u));
         }
       }
     }
@@ -374,6 +378,7 @@ class FragmentDectEngine {
   const NgdSet& sigma_;
   const PDectOptions& opts_;
   const FragmentRuntime& rt_;
+  /// Worker count: one per fragment, or p workers sharing a lone fragment.
   const int p_;
   ClusterMetrics metrics_;
   WorkStealingPool<PUnit> pool_;
@@ -395,144 +400,6 @@ class FragmentDectEngine {
   std::unique_ptr<std::atomic<uint32_t>[]> pending_;
 };
 
-/// The legacy shared-memory path: static owner-computes seed assignment
-/// over one caller-supplied CSR snapshot every worker reads. No halos, no
-/// communication accounting (a shared-memory machine has neither).
-PDectResult SharedSnapshotPDect(const Graph& g, const NgdSet& sigma,
-                                const PDectOptions& opts) {
-  WallTimer timer;
-  const int p = std::max(1, opts.num_processors);
-  Partition partition = PartitionGraph(g, p, opts.view);
-  const GraphAccessor acc(*opts.snapshot);
-
-  struct Seed {
-    int ngd_index;
-    int start;
-    NodeId node;
-  };
-  std::vector<std::vector<Seed>> assigned(p);
-  std::vector<int> start_of(sigma.size());
-  for (size_t f = 0; f < sigma.size(); ++f) {
-    const Pattern& pattern = sigma[f].pattern();
-    const int start = ChooseStartNode(pattern, acc);
-    start_of[f] = start;
-    ForEachCandidate(acc, pattern.node(start).label, [&](NodeId v) {
-      assigned[partition.fragment_of[v]].push_back(
-          Seed{static_cast<int>(f), start, v});
-      return true;
-    });
-  }
-
-  std::vector<MatchPlan> plans;
-  plans.reserve(sigma.size());
-  for (size_t f = 0; f < sigma.size(); ++f) {
-    plans.push_back(BuildMatchPlan(sigma[f].pattern(), {start_of[f]},
-                                   &sigma[f].X(), &sigma[f].Y()));
-  }
-
-  // Cancellation: one shared broadcast token, one CancelCheck per worker.
-  CancelToken owned_token;
-  CancelToken* token = opts.cancel;
-  if (token == nullptr && opts.deadline.armed()) token = &owned_token;
-  auto rule_ok = std::make_unique<std::atomic<uint8_t>[]>(sigma.size());
-  for (size_t r = 0; r < sigma.size(); ++r) {
-    rule_ok[r].store(1, std::memory_order_relaxed);
-  }
-
-  ClusterMetrics metrics;
-  std::vector<VioSet> local(p);
-  // Finished worker sets, handed off under a real lock at worker exit
-  // (see FragmentDectEngine::RetireWorker for the rationale).
-  struct MergeState {
-    Mutex mu;
-    std::vector<std::pair<int, VioSet>> finished NGD_GUARDED_BY(mu);
-  } merge;
-  if (opts.spill != nullptr) {
-    VioSpillOptions wopts = *opts.spill;
-    wopts.budget_bytes = opts.spill->budget_bytes / static_cast<size_t>(p);
-    for (int i = 0; i < p; ++i) {
-      wopts.path_prefix = opts.spill->path_prefix + ".w" + std::to_string(i);
-      local[i].EnableSpill(wopts);
-    }
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(p);
-  for (int i = 0; i < p; ++i) {
-    workers.emplace_back([&, i]() {
-      CancelCheck check(token, opts.deadline);
-      CancelCheck* cancel = check.active() ? &check : nullptr;
-      for (size_t s = 0; s < assigned[i].size(); ++s) {
-        if (cancel != nullptr && cancel->ShouldStop()) {
-          // Unprocessed seeds leave their rules incomplete.
-          for (size_t rest = s; rest < assigned[i].size(); ++rest) {
-            rule_ok[assigned[i][rest].ngd_index].store(
-                0, std::memory_order_relaxed);
-          }
-          break;
-        }
-        const Seed& seed = assigned[i][s];
-        metrics.work_units.fetch_add(1, std::memory_order_relaxed);
-        const Ngd& ngd = sigma[seed.ngd_index];
-        SearchConfig cfg;
-        cfg.graph = &g;
-        cfg.snapshot = opts.snapshot;
-        cfg.pattern = &ngd.pattern();
-        cfg.x = &ngd.X();
-        cfg.y = &ngd.Y();
-        cfg.view = opts.view;
-        cfg.find_violations = true;
-        cfg.cancel = cancel;
-        Binding binding(ngd.pattern().NumNodes(), kInvalidNode);
-        binding[seed.start] = seed.node;
-        RunSeededSearch(cfg, plans[seed.ngd_index], &binding,
-                        [&](const Binding& match) {
-                          // Each (rule, seed) pair is assigned to exactly
-                          // one worker and seeded expansion never repeats
-                          // a binding, so the append skips the hash probe.
-                          local[i].AppendUnchecked(seed.ngd_index,
-                                                   match.data(), match.size());
-                          return true;
-                        });
-        if (cancel != nullptr && cancel->Stopped()) {
-          rule_ok[seed.ngd_index].store(0, std::memory_order_relaxed);
-        }
-      }
-      MutexLock lock(&merge.mu);
-      merge.finished.emplace_back(i, std::move(local[i]));
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  PDectResult result;
-  // Per-worker sets are globally disjoint (seed ownership), so the merge
-  // is a rehash-free arena concatenation (result spill first — see the
-  // fragment-native path).
-  if (opts.spill != nullptr) result.vio.EnableSpill(*opts.spill);
-  {
-    MutexLock lock(&merge.mu);
-    std::sort(merge.finished.begin(), merge.finished.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& f : merge.finished) {
-      result.vio.MergeDisjointUnchecked(std::move(f.second));
-    }
-  }
-  result.crossing_edges = partition.crossing_edges;
-  result.fragments = p;
-  result.metrics = SnapshotOf(metrics);
-  result.elapsed_seconds = timer.ElapsedSeconds();
-  DetectRunInfo local_info;
-  DetectRunInfo* info = opts.run_info != nullptr ? opts.run_info : &local_info;
-  info->StartFull(sigma.size());
-  for (size_t r = 0; r < sigma.size(); ++r) {
-    if (rule_ok[r].load(std::memory_order_relaxed) == 0) {
-      info->rule_completed[r] = 0;
-      info->truncated = true;
-    }
-  }
-  result.truncated = info->truncated;
-  return result;
-}
-
 }  // namespace
 
 PDectResult PDect(const Graph& g, const NgdSet& sigma,
@@ -541,38 +408,40 @@ PDectResult PDect(const Graph& g, const NgdSet& sigma,
   // rules never spawn work units. elapsed_seconds of the re-entry covers
   // the parallel detection itself; the (cached, amortized) minimization
   // cost is the caller's setup, as with runtime builds.
-  PDectOptions inner;
-  MinimizedSigma m;
-  if (BeginMinimizedDetection(sigma, g.schema(), opts, &inner, &m)) {
-    DetectRunInfo inner_info;
-    inner.run_info = &inner_info;
-    PDectResult result = PDect(g, m.sigma, inner);
-    result.vio = RemapViolations(std::move(result.vio), m.report.kept);
-    if (opts.run_info != nullptr) {
-      RemapRunInfo(inner_info, m.report, sigma.size(), opts.run_info);
-    }
-    return result;
+  if (auto result = DetectMinimized(
+          sigma, g.schema(), opts,
+          [&](const NgdSet& kept_sigma, const PDectOptions& inner,
+              const std::vector<int>& kept) {
+            PDectResult r = PDect(g, kept_sigma, inner);
+            r.vio = RemapViolations(std::move(r.vio), kept);
+            return r;
+          })) {
+    return *std::move(result);
   }
-
-  if (opts.snapshot != nullptr) return SharedSnapshotPDect(g, sigma, opts);
 
   WallTimer timer;
   const int p = std::max(1, opts.num_processors);
   const int d_sigma = sigma.MaxDiameter();
 
-  // Reuse a caller-supplied runtime when it matches; otherwise fragment
-  // here (the clock includes it — a cold start really pays it; callers
-  // that care pre-build and pass opts.runtime).
+  // A caller snapshot runs as one fragment all p workers share. Otherwise
+  // reuse a caller-supplied runtime when it matches, or fragment here (the
+  // clock includes it — a cold start really pays it; callers that care
+  // pre-build and pass opts.runtime).
   std::optional<FragmentRuntime> owned_rt;
   const FragmentRuntime* rt = opts.runtime;
-  if (rt == nullptr || rt->num_fragments() != p || rt->view() != opts.view ||
-      rt->halo_hops() < d_sigma) {
+  if (opts.snapshot != nullptr) {
+    owned_rt.emplace(*opts.snapshot);
+    rt = &*owned_rt;
+  } else if (rt == nullptr || rt->num_fragments() != p ||
+             rt->view() != opts.view || rt->halo_hops() < d_sigma) {
     owned_rt.emplace(g, p, opts.view, d_sigma);
     rt = &*owned_rt;
   }
 
   FragmentDectEngine engine(sigma, opts, *rt);
-  PDectResult result = engine.Run(GraphAccessor(g, opts.view));
+  PDectResult result = engine.Run(opts.snapshot != nullptr
+                                      ? GraphAccessor(*opts.snapshot)
+                                      : GraphAccessor(g, opts.view));
   result.elapsed_seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -22,6 +22,11 @@
 // model (work-unit splitting, as in PIncDect), and idle processors steal
 // seed chunks across fragments; every stolen or forwarded unit is one
 // simulated message (ClusterMetrics, surfaced in PDectResult).
+//
+// A caller that already holds a whole-graph snapshot (PDectOptions::
+// snapshot) gets the same engine over a one-fragment runtime: every
+// worker reads the shared CSR, so there is nothing to forward, and
+// balance comes from stealing and splitting alone.
 
 #ifndef NGD_PARALLEL_PDECT_H_
 #define NGD_PARALLEL_PDECT_H_
@@ -34,11 +39,11 @@ namespace ngd {
 struct PDectOptions {
   int num_processors = 4;
   GraphView view = GraphView::kNew;
-  /// Pre-built shared CSR snapshot (e.g. loaded from a binary snapshot
-  /// file): selects the LEGACY shared-memory path — static owner-computes
-  /// seed assignment over one snapshot all workers read, no halos, no
-  /// communication accounting. Kept for callers that already hold a full
-  /// snapshot (ngdcheck) and as the shared-memory baseline.
+  /// Pre-built whole-graph CSR snapshot (e.g. loaded from a binary
+  /// snapshot file). When set, the engine runs over a one-fragment
+  /// runtime that borrows it: no partitioning, no halo, and all
+  /// num_processors workers share the fragment, with seed chunks dealt
+  /// round-robin and stealing and splitting as usual. Overrides `runtime`.
   const GraphSnapshot* snapshot = nullptr;
   /// Pre-built fragment runtime to amortize partitioning + fragment CSR
   /// builds across calls (benchmarks, warm starts via FragmentRuntime::
@@ -96,8 +101,9 @@ struct PDectResult {
   int fragments = 1;          ///< p actually used
   /// Communication / balancing counters. replicated_nodes = Σ_f |halo(f)|
   /// (actual replica volume); messages = halo scans + forwards + steals +
-  /// split broadcasts. Zero on the legacy shared-snapshot path, which
-  /// models a shared-memory machine.
+  /// split broadcasts. Over a caller snapshot there is one fragment, so
+  /// replicated_nodes, crossing_edges, halo scans and forwards are 0;
+  /// steals and splits are still counted.
   ClusterMetricsSnapshot metrics;
 };
 

@@ -543,18 +543,15 @@ StatusOr<PIncDectResult> PIncDect(const Graph& g, const NgdSet& sigma,
   // pipeline on the minimized set and remap ΔVio back to Σ.
   if (opts.minimize_sigma != MinimizeMode::kNever) {
     NGD_RETURN_IF_ERROR(ValidateForIncremental(sigma));
-    PIncDectOptions inner;
-    MinimizedSigma m;
-    if (BeginMinimizedDetection(sigma, g.schema(), opts, &inner, &m)) {
-      DetectRunInfo inner_info;
-      inner.run_info = &inner_info;
-      auto result = PIncDect(g, m.sigma, batch, inner);
-      if (!result.ok()) return result;
-      result->delta = RemapDelta(std::move(result->delta), m.report.kept);
-      if (opts.run_info != nullptr) {
-        RemapRunInfo(inner_info, m.report, sigma.size(), opts.run_info);
-      }
-      return result;
+    if (auto result = DetectMinimized(
+            sigma, g.schema(), opts,
+            [&](const NgdSet& kept_sigma, const PIncDectOptions& inner,
+                const std::vector<int>& kept) {
+              auto r = PIncDect(g, kept_sigma, batch, inner);
+              if (r.ok()) r->delta = RemapDelta(std::move(r->delta), kept);
+              return r;
+            })) {
+      return *std::move(result);
     }
   }
 

@@ -458,4 +458,60 @@ DeltaVio RemapDelta(DeltaVio delta, const std::vector<int>& kept) {
   return out;
 }
 
+void RemapRunInfo(const DetectRunInfo& inner, const OptimizeReport& report,
+                  size_t original_rules, DetectRunInfo* out) {
+  out->truncated = inner.truncated;
+  // Kept rules copy their marks from the minimized run.
+  std::vector<int8_t> mark(original_rules, -1);  // -1 unresolved, 0/1 known
+  for (size_t i = 0; i < report.kept.size(); ++i) {
+    const size_t orig = static_cast<size_t>(report.kept[i]);
+    mark[orig] = i < inner.rule_completed.size() && inner.rule_completed[i]
+                     ? 1
+                     : (inner.truncated ? 0 : 1);
+  }
+  // Dropped rules propagate completion through the implication cover:
+  // rule d's violations are covered by the rules that implied it, so d's
+  // report is complete exactly when every (transitive) implier finished
+  // enumerating. The implied_by edges always point to rules that were
+  // alive at drop time, so the relation is a DAG rooted at kept rules.
+  const bool have_cover = report.implied_by.size() == original_rules;
+  std::vector<int> stack;
+  for (int d : report.dropped) {
+    if (mark[static_cast<size_t>(d)] != -1) continue;
+    if (!have_cover || report.implied_by[static_cast<size_t>(d)].empty()) {
+      // No recorded cover (defensive): fall back to the conservative
+      // whole-run mark.
+      mark[static_cast<size_t>(d)] = inner.truncated ? 0 : 1;
+      continue;
+    }
+    stack.push_back(d);
+    while (!stack.empty()) {
+      const size_t r = static_cast<size_t>(stack.back());
+      bool ready = true;
+      bool all_complete = true;
+      for (int j : report.implied_by[r]) {
+        const int8_t m = mark[static_cast<size_t>(j)];
+        if (m == -1) {
+          if (!have_cover || report.implied_by[static_cast<size_t>(j)].empty()) {
+            mark[static_cast<size_t>(j)] = inner.truncated ? 0 : 1;
+            if (mark[static_cast<size_t>(j)] == 0) all_complete = false;
+            continue;
+          }
+          stack.push_back(j);
+          ready = false;
+        } else if (m == 0) {
+          all_complete = false;
+        }
+      }
+      if (!ready) continue;
+      mark[r] = all_complete ? 1 : 0;
+      stack.pop_back();
+    }
+  }
+  out->rule_completed.assign(original_rules, 0);
+  for (size_t r = 0; r < original_rules; ++r) {
+    out->rule_completed[r] = mark[r] == 1 ? 1 : 0;
+  }
+}
+
 }  // namespace ngd

@@ -52,6 +52,7 @@
 #ifndef NGD_REASON_SIGMA_OPTIMIZER_H_
 #define NGD_REASON_SIGMA_OPTIMIZER_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -150,31 +151,50 @@ bool ResolveMinimizedSigma(const NgdSet& sigma, const SchemaPtr& schema,
 /// Test hook: drops every cached kept-set.
 void ClearSigmaOptimizerCache();
 
-/// Shared engine boilerplate: for any options struct carrying
-/// `minimize_sigma` + `sigma_optimizer` (DectOptions, IncDectOptions,
-/// PDectOptions, PIncDectOptions), resolves minimization and — when
-/// detection should run the minimized set — fills *inner with a copy of
-/// `opts` whose mode is cleared, so the engine can re-enter itself once
-/// and apply its type-specific remap. Keeping this in ONE place means a
-/// change to the resolve contract cannot drift across the five engines.
-template <typename Options>
-bool BeginMinimizedDetection(const NgdSet& sigma, const SchemaPtr& schema,
-                             const Options& opts, Options* inner,
-                             MinimizedSigma* minimized) {
-  if (opts.minimize_sigma == MinimizeMode::kNever) return false;
-  if (!ResolveMinimizedSigma(sigma, schema, opts.minimize_sigma,
-                             opts.sigma_optimizer, minimized)) {
-    return false;
-  }
-  *inner = opts;
-  inner->minimize_sigma = MinimizeMode::kNever;
-  return true;
-}
-
 /// Remaps rule indices of violations found against a minimized Σ back to
 /// the original catalog via OptimizeReport::kept.
 VioSet RemapViolations(VioSet vio, const std::vector<int>& kept);
 DeltaVio RemapDelta(DeltaVio delta, const std::vector<int>& kept);
+
+/// Remaps a DetectRunInfo produced against a minimized Σ back to the
+/// caller's catalog: kept rules copy their marks; a dropped (implied)
+/// rule is complete iff every rule on its implication cover
+/// (OptimizeReport::implied_by, followed transitively to kept rules)
+/// completed — its violations are covered by exactly those rules, so a
+/// truncation elsewhere in the sweep does not poison its mark. Reports
+/// without a recorded cover (e.g. served from a pre-upgrade cache entry)
+/// fall back to the conservative whole-run mark.
+void RemapRunInfo(const DetectRunInfo& inner, const OptimizeReport& report,
+                  size_t original_rules, DetectRunInfo* out);
+
+/// The one Σ-minimized re-entry every engine shares (Dect,
+/// FindAnyViolation, IncDect, PDect, PIncDect), for any options struct
+/// carrying `minimize_sigma`, `sigma_optimizer` and `run_info`. Returns
+/// nullopt when Σ should run verbatim. Otherwise it calls
+/// `rerun(kept_sigma, inner, kept)` once, where `inner` is `opts` with
+/// the mode cleared and its own run_info, remaps that run_info back to Σ
+/// into opts.run_info, and returns rerun's result. `rerun` re-enters the
+/// engine and maps rule indices back to Σ through `kept`.
+template <typename Options, typename Rerun>
+auto DetectMinimized(const NgdSet& sigma, const SchemaPtr& schema,
+                     const Options& opts, Rerun&& rerun)
+    -> std::optional<decltype(rerun(sigma, opts, std::vector<int>()))> {
+  MinimizedSigma m;
+  if (opts.minimize_sigma == MinimizeMode::kNever ||
+      !ResolveMinimizedSigma(sigma, schema, opts.minimize_sigma,
+                             opts.sigma_optimizer, &m)) {
+    return std::nullopt;
+  }
+  Options inner = opts;
+  inner.minimize_sigma = MinimizeMode::kNever;
+  DetectRunInfo inner_info;
+  inner.run_info = &inner_info;
+  auto result = rerun(m.sigma, inner, m.report.kept);
+  if (opts.run_info != nullptr) {
+    RemapRunInfo(inner_info, m.report, sigma.size(), opts.run_info);
+  }
+  return result;
+}
 
 }  // namespace ngd
 

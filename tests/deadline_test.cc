@@ -29,6 +29,7 @@
 #include "detect/dect.h"
 #include "detect/inc_dect.h"
 #include "graph/graph.h"
+#include "graph/snapshot.h"
 #include "graph/updates.h"
 #include "parallel/pdect.h"
 #include "parallel/pinc_dect.h"
@@ -56,6 +57,10 @@ std::set<std::string> VioLines(const VioSet& vio, const NgdSet& sigma) {
   }
   return lines;
 }
+
+/// PDect runs once fragment-native (no snapshot) and once over a
+/// caller-supplied snapshot in every batch case below.
+constexpr const GraphSnapshot* kNoSnapshot = nullptr;
 
 /// Every violation of `part` must appear in `full` — partial, never wrong.
 void ExpectSubset(const VioSet& part, const VioSet& full, const NgdSet& sigma,
@@ -146,18 +151,24 @@ TEST(CancelTest, PreCancelledTokenTruncatesBatchEngines) {
   ExpectSubset(vio, full, w.sigma, "Dect");
   EXPECT_LT(vio.Sorted().size(), full.Sorted().size());
 
-  PDectOptions popts;
-  popts.num_processors = 3;
-  DetectRunInfo pinfo;
-  popts.cancel = &token;
-  popts.run_info = &pinfo;
-  const PDectResult pres = PDect(*w.graph, w.sigma, popts);
-  EXPECT_TRUE(pres.truncated);
-  EXPECT_TRUE(pinfo.truncated);
-  ASSERT_EQ(pinfo.rule_completed.size(), w.sigma.size());
-  EXPECT_EQ(pinfo.rule_completed[0], 0);
-  ExpectSubset(pres.vio, full, w.sigma, "PDect");
-  EXPECT_LT(pres.vio.Sorted().size(), full.Sorted().size());
+  // PDect fragment-native, then over a caller-supplied snapshot.
+  const GraphSnapshot shared(*w.graph, GraphView::kNew);
+  for (const GraphSnapshot* snapshot : {kNoSnapshot, &shared}) {
+    SCOPED_TRACE(snapshot != nullptr ? "caller snapshot" : "fragments");
+    PDectOptions popts;
+    popts.num_processors = 3;
+    popts.snapshot = snapshot;
+    DetectRunInfo pinfo;
+    popts.cancel = &token;
+    popts.run_info = &pinfo;
+    const PDectResult pres = PDect(*w.graph, w.sigma, popts);
+    EXPECT_TRUE(pres.truncated);
+    EXPECT_TRUE(pinfo.truncated);
+    ASSERT_EQ(pinfo.rule_completed.size(), w.sigma.size());
+    EXPECT_EQ(pinfo.rule_completed[0], 0);
+    ExpectSubset(pres.vio, full, w.sigma, "PDect");
+    EXPECT_LT(pres.vio.Sorted().size(), full.Sorted().size());
+  }
 }
 
 TEST(CancelTest, PreCancelledTokenTruncatesIncrementalEngines) {
@@ -225,15 +236,20 @@ TEST(CancelTest, UntruncatedRunsMarkEveryRuleComplete) {
   EXPECT_EQ(VioLines(with_token, w.sigma),
             VioLines(Dect(*w.graph, w.sigma), w.sigma));
 
-  PDectOptions popts;
-  popts.num_processors = 3;
-  DetectRunInfo pinfo;
-  popts.run_info = &pinfo;
-  const PDectResult pres = PDect(*w.graph, w.sigma, popts);
-  EXPECT_FALSE(pres.truncated);
-  EXPECT_FALSE(pinfo.truncated);
-  ASSERT_EQ(pinfo.rule_completed.size(), w.sigma.size());
-  EXPECT_EQ(pinfo.rule_completed[0], 1);
+  const GraphSnapshot shared(*w.graph, GraphView::kNew);
+  for (const GraphSnapshot* snapshot : {kNoSnapshot, &shared}) {
+    SCOPED_TRACE(snapshot != nullptr ? "caller snapshot" : "fragments");
+    PDectOptions popts;
+    popts.num_processors = 3;
+    popts.snapshot = snapshot;
+    DetectRunInfo pinfo;
+    popts.run_info = &pinfo;
+    const PDectResult pres = PDect(*w.graph, w.sigma, popts);
+    EXPECT_FALSE(pres.truncated);
+    EXPECT_FALSE(pinfo.truncated);
+    ASSERT_EQ(pinfo.rule_completed.size(), w.sigma.size());
+    EXPECT_EQ(pinfo.rule_completed[0], 1);
+  }
 
   UpdateBatch batch = CrossHubBatch(w, 4);
   ASSERT_TRUE(ApplyUpdateBatch(w.graph.get(), &batch).ok());
@@ -291,9 +307,12 @@ TEST(DeadlineTest, HubWorkloadRespondsWithinTwiceTheDeadline) {
     ExpectSubset(vio, full, w.sigma, "Dect deadline");
   }
 
-  {
+  const GraphSnapshot shared(*w.graph, GraphView::kNew);
+  for (const GraphSnapshot* snapshot : {kNoSnapshot, &shared}) {
+    SCOPED_TRACE(snapshot != nullptr ? "caller snapshot" : "fragments");
     PDectOptions popts;
     popts.num_processors = 4;
+    popts.snapshot = snapshot;
     DetectRunInfo info;
     popts.deadline = Deadline::After(kDeadlineMs);
     popts.run_info = &info;

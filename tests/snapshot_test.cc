@@ -285,14 +285,20 @@ TEST_P(SnapshotEquivalenceTest, DectAgreesOnBothViews) {
           << "snapshot Dect missing a violation of rule "
           << sigma[v.ngd_index].name();
     }
-    // PDect over the shared snapshot agrees too.
-    PDectOptions popts;
-    popts.num_processors = 3;
-    popts.view = view;
-    VioSet parallel = PDect(*g, sigma, popts).vio;
-    EXPECT_EQ(parallel.size(), live.size());
-    for (const auto& v : parallel.items()) {
-      EXPECT_TRUE(live.Contains(v));
+    // PDect agrees too: fragment-native, and over a shared snapshot.
+    const GraphSnapshot shared(*g, view);
+    for (const GraphSnapshot* snapshot :
+         {static_cast<const GraphSnapshot*>(nullptr), &shared}) {
+      PDectOptions popts;
+      popts.num_processors = 3;
+      popts.view = view;
+      popts.snapshot = snapshot;
+      VioSet parallel = PDect(*g, sigma, popts).vio;
+      EXPECT_EQ(parallel.size(), live.size())
+          << (snapshot != nullptr ? "shared snapshot" : "fragments");
+      for (const auto& v : parallel.items()) {
+        EXPECT_TRUE(live.Contains(v));
+      }
     }
   }
 }

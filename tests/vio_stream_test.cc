@@ -30,6 +30,7 @@
 #include "detect/inc_dect.h"
 #include "detect/vio_stream.h"
 #include "detect/violation.h"
+#include "graph/snapshot.h"
 #include "graph/updates.h"
 #include "parallel/pdect.h"
 #include "parallel/pinc_dect.h"
@@ -286,12 +287,24 @@ void RunEngineSpillCase(uint64_t seed, size_t budget, const char* regime) {
     o.spill = &spill;
     ExpectSetStreams(want, Dect(*w.graph, w.sigma, o), repro + " Dect");
   }
+  const int p = static_cast<int>(rng.UniformInt(2, 4));
   {
     PDectOptions o;
-    o.num_processors = static_cast<int>(rng.UniformInt(2, 4));
+    o.num_processors = p;
     spill.path_prefix = prefix + ".pdect";
     o.spill = &spill;
     ExpectSetStreams(want, PDect(*w.graph, w.sigma, o).vio, repro + " PDect");
+  }
+  {
+    // The same engine over a caller-supplied snapshot (one shared fragment).
+    const GraphSnapshot snapshot(*w.graph, GraphView::kNew);
+    PDectOptions o;
+    o.num_processors = p;
+    o.snapshot = &snapshot;
+    spill.path_prefix = prefix + ".pdect_snap";
+    o.spill = &spill;
+    ExpectSetStreams(want, PDect(*w.graph, w.sigma, o).vio,
+                     repro + " PDect snapshot");
   }
 
   if (!ValidateForIncremental(w.sigma).ok()) return;
