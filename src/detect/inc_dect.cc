@@ -61,23 +61,31 @@ std::vector<PivotTask> EnumeratePivotTasks(const Graph& g,
   return tasks;
 }
 
-namespace {
+PivotPlans::PivotPlans(const NgdSet& sigma,
+                       const std::vector<PivotTask>& tasks) {
+  for (const PivotTask& t : tasks) {
+    const int64_t key = Key(t.ngd_index, t.pattern_edge);
+    if (plans_.count(key) > 0) continue;
+    const Ngd& ngd = sigma[t.ngd_index];
+    const PatternEdge& pe = ngd.pattern().edge(t.pattern_edge);
+    std::vector<int> seeds{pe.src};
+    if (pe.dst != pe.src) seeds.push_back(pe.dst);
+    plans_.emplace(key, BuildMatchPlan(ngd.pattern(), std::move(seeds),
+                                       &ngd.X(), &ngd.Y()));
+  }
+}
 
-/// The one copy of the (update, pattern-edge) tie-break that defines
-/// exactly-once emission; `maybe_update(src, dst, label)` lets a backend
-/// skip edges it can prove are not update records before the hash lookup.
-template <typename MaybeUpdate>
-bool IsCanonicalPivotImpl(const Pattern& pattern, const Binding& binding,
-                          const UpdateIndex& index, UpdateKind kind,
-                          int update_index, int pattern_edge,
-                          const MaybeUpdate& maybe_update) {
+bool IsCanonicalPivot(const GraphAccessor& g, const Pattern& pattern,
+                      const Binding& binding, const UpdateIndex& index,
+                      UpdateKind kind, int update_index, int pattern_edge) {
+  const bool insert_side = kind == UpdateKind::kInsert;
   int best_update = update_index;
   int best_edge = pattern_edge;
   for (size_t p = 0; p < pattern.NumEdges(); ++p) {
     const PatternEdge& pe = pattern.edge(static_cast<int>(p));
     const NodeId src = binding[pe.src];
     const NodeId dst = binding[pe.dst];
-    if (!maybe_update(src, dst, pe.label)) continue;
+    if (!g.MaybeDeltaEdge(insert_side, src, dst, pe.label)) continue;
     std::optional<int> idx =
         index.IndexOf(kind, EdgeKey{src, dst, pe.label});
     if (!idx.has_value()) continue;
@@ -88,31 +96,6 @@ bool IsCanonicalPivotImpl(const Pattern& pattern, const Binding& binding,
     }
   }
   return best_update == update_index && best_edge == pattern_edge;
-}
-
-}  // namespace
-
-bool IsCanonicalPivot(const Graph& g, const Pattern& pattern,
-                      const Binding& binding, const UpdateIndex& index,
-                      UpdateKind kind, int update_index, int pattern_edge) {
-  (void)g;
-  return IsCanonicalPivotImpl(pattern, binding, index, kind, update_index,
-                              pattern_edge,
-                              [](NodeId, NodeId, LabelId) { return true; });
-}
-
-bool IsCanonicalPivot(const DeltaView& dv, const Pattern& pattern,
-                      const Binding& binding, const UpdateIndex& index,
-                      UpdateKind kind, int update_index, int pattern_edge) {
-  // DeltaView and UpdateIndex apply the same effectiveness predicate, so
-  // the span check is exactly IndexOf(...).has_value() — at the cost of
-  // one bitmap byte for the base edges that dominate.
-  const bool insert_side = kind == UpdateKind::kInsert;
-  return IsCanonicalPivotImpl(
-      pattern, binding, index, kind, update_index, pattern_edge,
-      [&dv, insert_side](NodeId src, NodeId dst, LabelId label) {
-        return dv.IsDeltaEdge(insert_side, src, dst, label);
-      });
 }
 
 Status ValidateForIncremental(const NgdSet& sigma) {
@@ -298,20 +281,7 @@ StatusOr<DeltaVio> IncDect(const Graph& g, const NgdSet& sigma,
     dv.emplace(*base, g, batch);
   }
 
-  // Plan cache: one expansion order per (NGD, pattern edge) seed pair.
-  std::unordered_map<int64_t, MatchPlan> plans;
-  auto plan_for = [&](int f, int p) -> const MatchPlan& {
-    int64_t key = (static_cast<int64_t>(f) << 32) | static_cast<uint32_t>(p);
-    auto it = plans.find(key);
-    if (it != plans.end()) return it->second;
-    const Ngd& ngd = sigma[f];
-    const PatternEdge& pe = ngd.pattern().edge(p);
-    std::vector<int> seeds{pe.src};
-    if (pe.dst != pe.src) seeds.push_back(pe.dst);
-    MatchPlan plan =
-        BuildMatchPlan(ngd.pattern(), std::move(seeds), &ngd.X(), &ngd.Y());
-    return plans.emplace(key, std::move(plan)).first->second;
-  };
+  const PivotPlans plans(sigma, tasks);
 
   DetectRunInfo local_info;
   DetectRunInfo* info = opts.run_info != nullptr ? opts.run_info : &local_info;
@@ -343,9 +313,6 @@ StatusOr<DeltaVio> IncDect(const Graph& g, const NgdSet& sigma,
     const EffectiveUpdate& u = index.updates()[task.update_index];
     const PatternEdge& pe = ngd.pattern().edge(task.pattern_edge);
 
-    PivotEdgeFilter live_filter(&index, u.kind, task.update_index);
-    DeltaViewPivotEdgeFilter dv_filter(dv.has_value() ? &*dv : nullptr,
-                                       &index, u.kind, task.update_index);
     SearchConfig cfg;
     cfg.graph = &g;
     cfg.delta_view = dv.has_value() ? &*dv : nullptr;
@@ -354,9 +321,9 @@ StatusOr<DeltaVio> IncDect(const Graph& g, const NgdSet& sigma,
     cfg.y = &ngd.Y();
     cfg.view =
         u.kind == UpdateKind::kInsert ? GraphView::kNew : GraphView::kOld;
-    cfg.edge_filter =
-        dv.has_value() ? static_cast<const EdgeFilter*>(&dv_filter)
-                       : static_cast<const EdgeFilter*>(&live_filter);
+    const GraphAccessor acc = cfg.MakeAccessor();
+    PivotEdgeFilter filter(&acc, &index, u.kind, task.update_index);
+    cfg.edge_filter = &filter;
     cfg.node_scope =
         area.has_value() ? area->ScopeOf(task.ngd_index) : nullptr;
     cfg.find_violations = true;
@@ -366,30 +333,18 @@ StatusOr<DeltaVio> IncDect(const Graph& g, const NgdSet& sigma,
     binding[pe.src] = u.edge.src;
     binding[pe.dst] = u.edge.dst;
 
-    VioSet& target =
-        u.kind == UpdateKind::kInsert ? delta.added : delta.removed;
-    RunSeededSearch(cfg, plan_for(task.ngd_index, task.pattern_edge),
-                    &binding, [&](const Binding& match) {
-                      const bool canonical =
-                          dv.has_value()
-                              ? IsCanonicalPivot(*dv, ngd.pattern(), match,
-                                                 index, u.kind,
-                                                 task.update_index,
-                                                 task.pattern_edge)
-                              : IsCanonicalPivot(g, ngd.pattern(), match,
-                                                 index, u.kind,
-                                                 task.update_index,
-                                                 task.pattern_edge);
-                      if (canonical) {
-                        // Minimal-pivot canonicality already guarantees
-                        // exactly-once emission per match per update
-                        // kind; the checked insert's hash probe would
-                        // only re-prove it.
-                        target.AppendUnchecked(task.ngd_index, match.data(),
-                                               match.size());
-                      }
-                      return true;
-                    });
+    PivotEmitHooks hooks;
+    hooks.g = &acc;
+    hooks.pattern = &ngd.pattern();
+    hooks.index = &index;
+    hooks.kind = u.kind;
+    hooks.task = task;
+    hooks.target =
+        u.kind == UpdateKind::kInsert ? &delta.added : &delta.removed;
+    PlanWalk<PivotEmitHooks>(cfg, acc,
+                             plans.Of(task.ngd_index, task.pattern_edge),
+                             &hooks)
+        .Seeded(&binding);
     if (cancel != nullptr && cancel->Stopped()) {
       info->truncated = true;
       for (size_t r = t; r < tasks.size(); ++r) {

@@ -25,6 +25,7 @@
 #ifndef NGD_DETECT_INC_DECT_H_
 #define NGD_DETECT_INC_DECT_H_
 
+#include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -63,39 +64,19 @@ class UpdateIndex {
 };
 
 /// Rejects update edges with pivot order below the current pivot, so each
-/// match is reached from its minimal update edge only.
+/// match is reached from its minimal update edge only. Only *update*
+/// edges need ranking: edges the accessor proves are not ΔG entries (a
+/// DeltaView's base edges, one bitmap byte) admit without the UpdateIndex
+/// hash probe.
 class PivotEdgeFilter : public EdgeFilter {
  public:
-  PivotEdgeFilter(const UpdateIndex* index, UpdateKind kind, int pivot_index)
-      : index_(index), kind_(kind), pivot_index_(pivot_index) {}
+  PivotEdgeFilter(const GraphAccessor* g, const UpdateIndex* index,
+                  UpdateKind kind, int pivot_index)
+      : g_(g), index_(index), kind_(kind), pivot_index_(pivot_index) {}
 
   bool Admit(int /*pattern_edge*/, NodeId src, NodeId dst,
              LabelId label) const override {
-    auto i = index_->IndexOf(kind_, EdgeKey{src, dst, label});
-    return !i.has_value() || *i >= pivot_index_;
-  }
-
- private:
-  const UpdateIndex* index_;
-  UpdateKind kind_;
-  int pivot_index_;
-};
-
-/// PivotEdgeFilter for the DeltaView backend. Duplicate suppression only
-/// has to rank *update* edges, and the DeltaView knows structurally which
-/// edges those are: anything outside its delta spans is a base edge and
-/// is admitted with one CSR span check — no hash probe. Only genuine
-/// delta entries (a |ΔG|-sized minority of everything a search touches)
-/// fall through to the UpdateIndex lookup.
-class DeltaViewPivotEdgeFilter : public EdgeFilter {
- public:
-  DeltaViewPivotEdgeFilter(const DeltaView* dv, const UpdateIndex* index,
-                           UpdateKind kind, int pivot_index)
-      : dv_(dv), index_(index), kind_(kind), pivot_index_(pivot_index) {}
-
-  bool Admit(int /*pattern_edge*/, NodeId src, NodeId dst,
-             LabelId label) const override {
-    if (!dv_->IsDeltaEdge(kind_ == UpdateKind::kInsert, src, dst, label)) {
+    if (!g_->MaybeDeltaEdge(kind_ == UpdateKind::kInsert, src, dst, label)) {
       return true;
     }
     auto i = index_->IndexOf(kind_, EdgeKey{src, dst, label});
@@ -103,7 +84,7 @@ class DeltaViewPivotEdgeFilter : public EdgeFilter {
   }
 
  private:
-  const DeltaView* dv_;
+  const GraphAccessor* g_;
   const UpdateIndex* index_;
   UpdateKind kind_;
   int pivot_index_;
@@ -124,21 +105,56 @@ std::vector<PivotTask> EnumeratePivotTasks(const Graph& g,
                                            const NgdSet& sigma,
                                            const UpdateIndex& index);
 
+/// One expansion order per (NGD, pattern edge) pair among `tasks`, seeded
+/// at the pattern edge's endpoints. Immutable once built, so parallel
+/// workers share it.
+class PivotPlans {
+ public:
+  PivotPlans(const NgdSet& sigma, const std::vector<PivotTask>& tasks);
+
+  const MatchPlan& Of(int ngd_index, int pattern_edge) const {
+    return plans_.at(Key(ngd_index, pattern_edge));
+  }
+
+ private:
+  static int64_t Key(int ngd_index, int pattern_edge) {
+    return (static_cast<int64_t>(ngd_index) << 32) |
+           static_cast<uint32_t>(pattern_edge);
+  }
+
+  std::unordered_map<int64_t, MatchPlan> plans_;
+};
+
 /// True iff (update_index, pattern_edge) is the minimal update incidence
-/// of the full match `binding` — the emission-side duplicate check.
-bool IsCanonicalPivot(const Graph& g, const Pattern& pattern,
+/// of the full match `binding` — the emission-side duplicate check, run
+/// for every violating match of every pivot. Pattern edges whose bound
+/// graph edge `g` proves is not a ΔG entry skip the UpdateIndex lookup
+/// (GraphAccessor::MaybeDeltaEdge), so on a DeltaView only the (typically
+/// one) real update edge of the match pays a hash probe.
+bool IsCanonicalPivot(const GraphAccessor& g, const Pattern& pattern,
                       const Binding& binding, const UpdateIndex& index,
                       UpdateKind kind, int update_index, int pattern_edge);
 
-/// DeltaView-backed canonicality: ranking only ever concerns *update*
-/// edges, so pattern edges whose bound graph edge is not a delta entry
-/// are skipped with one CSR span check; only the (typically one) real
-/// update edge of the match pays an UpdateIndex hash lookup. This is the
-/// emission hot path — every violating match of every pivot runs it —
-/// and the structural skip is a key part of the DeltaView speedup.
-bool IsCanonicalPivot(const DeltaView& dv, const Pattern& pattern,
-                      const Binding& binding, const UpdateIndex& index,
-                      UpdateKind kind, int update_index, int pattern_edge);
+/// Emit hook of the pivot searches (IncDect, PIncDect): a full match goes
+/// into `target` iff `task` is its canonical pivot. Canonicality already
+/// guarantees exactly-once emission per match per update kind, so the
+/// append skips the checked insert's hash probe.
+struct PivotEmitHooks : InPlaceHooks {
+  const GraphAccessor* g;
+  const Pattern* pattern;
+  const UpdateIndex* index;
+  UpdateKind kind;
+  PivotTask task;
+  VioSet* target;
+
+  bool Emit(const Binding& match) {
+    if (IsCanonicalPivot(*g, *pattern, match, *index, kind,
+                         task.update_index, task.pattern_edge)) {
+      target->AppendUnchecked(task.ngd_index, match.data(), match.size());
+    }
+    return true;
+  }
+};
 
 /// Incremental detection requires every pattern to be connected with at
 /// least one edge (edge updates cannot pivot edge-less patterns; the

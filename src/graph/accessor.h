@@ -17,6 +17,7 @@
 #ifndef NGD_GRAPH_ACCESSOR_H_
 #define NGD_GRAPH_ACCESSOR_H_
 
+#include <cstdint>
 #include <utility>
 
 #include "graph/delta_view.h"
@@ -117,25 +118,8 @@ class GraphAccessor {
   template <typename Fn>
   bool ForEachNeighbor(NodeId v, bool out, LabelId edge_label,
                        Fn&& fn) const {
-    if (snap_ != nullptr) {
-      GraphSnapshot::IdRange r = out ? snap_->OutNeighbors(v, edge_label)
-                                     : snap_->InNeighbors(v, edge_label);
-      for (NodeId w : r) {
-        if (!fn(w)) return false;
-      }
-      return true;
-    }
-    if (delta_ != nullptr) {
-      return delta_->ForEachNeighbor(v, out, edge_label, view_,
-                                     std::forward<Fn>(fn));
-    }
-    const auto& adj = out ? graph_->OutEdges(v) : graph_->InEdges(v);
-    for (const AdjEntry& e : adj) {
-      if (e.label != edge_label) continue;
-      if (!EdgeInView(e.state, view_)) continue;
-      if (!fn(e.other)) return false;
-    }
-    return true;
+    return ForEachNeighborSlice(v, out, edge_label, 0, SIZE_MAX,
+                                std::forward<Fn>(fn));
   }
 
   /// Length of the sliceable neighbor sequence of (v, out, edge_label) —
@@ -186,12 +170,14 @@ class GraphAccessor {
     return true;
   }
 
-  /// Cost estimate of ForEachNeighbor(v, out, edge_label): exact range
-  /// length for a snapshot or delta view, the full adjacency length (an
-  /// upper bound, O(1)) for the live graph. Comparable across anchors
-  /// within one backend, which is all the cheaper-anchor choice needs.
-  size_t NeighborScanCost(NodeId v, bool out, LabelId edge_label) const {
-    return NeighborSeqLen(v, out, edge_label);
+  /// False only when the backend proves (src, dst, label) is not a ΔG
+  /// entry on the insert (or delete) side: a DeltaView answers from its
+  /// delta spans, every other backend answers true. Lets pivot ranking
+  /// skip the UpdateIndex hash probe for the base edges that dominate.
+  bool MaybeDeltaEdge(bool insert_side, NodeId src, NodeId dst,
+                      LabelId label) const {
+    return delta_ == nullptr ||
+           delta_->IsDeltaEdge(insert_side, src, dst, label);
   }
 
  private:

@@ -85,7 +85,7 @@ class DeltaView {
   /// bitmap rejects the untouched nodes that dominate — which lets pivot
   /// filters and canonicality checks treat base edges as non-updates
   /// without probing the update hash index (duplicate suppression only
-  /// ever has to rank *update* edges; see DeltaViewPivotEdgeFilter).
+  /// ever has to rank *update* edges; see GraphAccessor::MaybeDeltaEdge).
   bool IsDeltaEdge(bool insert_side, NodeId src, NodeId dst,
                    LabelId label) const {
     if (!(touched_[src] & (insert_side ? kTouchedOutIns : kTouchedOutDel))) {
@@ -144,14 +144,6 @@ class DeltaView {
       if (!fn(ins.first[i].other)) return false;
     }
     return true;
-  }
-
-  template <typename Fn>
-  bool ForEachNeighbor(NodeId v, bool out, LabelId label, GraphView view,
-                       Fn&& fn) const {
-    return ForEachNeighborSlice(v, out, label, view, 0,
-                                NeighborSeqLen(v, out, label, view),
-                                std::forward<Fn>(fn));
   }
 
   /// Candidate enumeration C(u). Node existence is view-independent (the

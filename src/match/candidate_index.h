@@ -4,8 +4,8 @@
 // graph nodes labelled l; the wildcard '_' matches every node. The start
 // node of a batch search is chosen to minimize |C(u)| (selectivity). All
 // primitives run against a GraphAccessor, so they serve both the live
-// overlay Graph and a CSR GraphSnapshot; the Graph overloads below are
-// thin wrappers kept for the incremental paths and tests.
+// overlay Graph, a CSR GraphSnapshot and a DeltaView; the two Graph
+// overloads below serve pivot enumeration and tests.
 
 #ifndef NGD_MATCH_CANDIDATE_INDEX_H_
 #define NGD_MATCH_CANDIDATE_INDEX_H_
@@ -21,26 +21,6 @@ namespace ngd {
 /// True iff graph node v can match a pattern node with label `label`.
 inline bool NodeMatchesLabel(const Graph& g, NodeId v, LabelId label) {
   return label == kWildcardLabel || g.NodeLabel(v) == label;
-}
-
-/// |C(u)| for a pattern-node label.
-inline size_t CandidateCount(const GraphAccessor& g, LabelId label) {
-  return g.CandidateCount(label);
-}
-inline size_t CandidateCount(const Graph& g, LabelId label) {
-  return GraphAccessor(g, GraphView::kNew).CandidateCount(label);
-}
-
-/// Invokes fn(NodeId) -> bool for every candidate of `label`; fn
-/// returning false aborts the scan. Returns false iff aborted.
-template <typename Fn>
-bool ForEachCandidate(const GraphAccessor& g, LabelId label, Fn&& fn) {
-  return g.ForEachCandidate(label, std::forward<Fn>(fn));
-}
-template <typename Fn>
-bool ForEachCandidate(const Graph& g, LabelId label, Fn&& fn) {
-  return GraphAccessor(g, GraphView::kNew)
-      .ForEachCandidate(label, std::forward<Fn>(fn));
 }
 
 /// The pattern node with the fewest candidates in g (batch search start).

@@ -1,32 +1,54 @@
 #include "match/homomorphism.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cstdint>
 
 namespace ngd {
 
 namespace {
 
-/// Literal bookkeeping carried down the recursion (by value: cheap, and
-/// backtracking restores it for free).
-struct LiteralState {
-  bool y_false = false;     ///< some bound Y literal is false
-  size_t y_ready = 0;       ///< number of Y literals bound so far
+/// Literal evaluation against whichever backend the accessor wraps.
+Truth EvalLiteral(const GraphAccessor& g, const Literal& lit,
+                  const Binding& binding) {
+  if (g.is_snapshot()) return lit.Evaluate(*g.snapshot(), binding);
+  if (g.is_delta_view()) return lit.Evaluate(*g.delta_view(), binding);
+  return lit.Evaluate(*g.live_graph(), binding);
+}
+
+/// Emit hook of the sequential entry points: the batched emitter when the
+/// config has one (no std::function dispatch, no per-match allocation),
+/// else the callback.
+struct CallbackHooks : InPlaceHooks {
+  const SearchConfig* cfg;
+  const MatchCallback* callback;
+
+  bool Emit(const Binding& binding) {
+    if (cfg->emitter != nullptr) return cfg->emitter->Emit(binding);
+    return (*callback)(binding);
+  }
 };
 
-enum class StepOutcome : uint8_t { kContinue, kPrune, kStop };
+void AssertSearchable(const SearchConfig& config) {
+  assert((config.graph != nullptr || config.snapshot != nullptr ||
+          config.delta_view != nullptr) &&
+         config.pattern != nullptr);
+  assert(!config.find_violations ||
+         (config.x != nullptr && config.y != nullptr));
+  (void)config;
+}
 
-/// Evaluates the literals that became ready; decides pruning.
-StepOutcome EvalReadyLiterals(const SearchConfig& cfg, const GraphAccessor& g,
-                              const std::vector<int>& ready_x,
-                              const std::vector<int>& ready_y,
-                              const Binding& binding, LiteralState* ls) {
-  if (!cfg.find_violations) return StepOutcome::kContinue;
+}  // namespace
+
+namespace match_internal {
+
+bool PruneOnReadyLiterals(const SearchConfig& cfg, const GraphAccessor& g,
+                          const std::vector<int>& ready_x,
+                          const std::vector<int>& ready_y,
+                          const Binding& binding, LiteralState* ls) {
+  if (!cfg.find_violations) return false;
   for (int i : ready_x) {
     Truth t = EvalLiteral(g, (*cfg.x)[i], binding);
     assert(t != Truth::kNotReady);
-    if (t == Truth::kFalse) return StepOutcome::kPrune;  // h ̸|= X forever
+    if (t == Truth::kFalse) return true;  // h ̸|= X forever
   }
   for (int i : ready_y) {
     Truth t = EvalLiteral(g, (*cfg.y)[i], binding);
@@ -34,202 +56,75 @@ StepOutcome EvalReadyLiterals(const SearchConfig& cfg, const GraphAccessor& g,
     ++ls->y_ready;
     if (t == Truth::kFalse) ls->y_false = true;
   }
-  if (!ls->y_false && ls->y_ready == cfg.y->size()) {
-    // All Y literals bound and true: every extension satisfies Y.
-    return StepOutcome::kPrune;
-  }
-  return StepOutcome::kContinue;
+  // All Y literals bound and true: every extension satisfies Y.
+  return !ls->y_false && ls->y_ready == cfg.y->size();
 }
 
-bool Expand(const SearchConfig& cfg, const GraphAccessor& g,
-            const MatchPlan& plan, size_t step_idx, Binding* binding,
-            LiteralState ls, const MatchCallback& callback) {
-  if (cfg.cancel != nullptr && cfg.cancel->ShouldStop()) return false;
-  if (step_idx == plan.steps.size()) {
-    // Full match. In violation mode the literal pruning above guarantees
-    // X is satisfied and Y is not (y_false), except for the empty-Y
-    // degenerate case which can never be violated. With an emitter the
-    // binding goes straight into its staging buffer — no std::function
-    // dispatch, no per-match allocation.
-    if (cfg.emitter != nullptr) return cfg.emitter->Emit(*binding);
-    return callback(*binding);
-  }
-  const ExpansionStep& step = plan.steps[step_idx];
-  const Pattern& pattern = *cfg.pattern;
-
-  // Candidate generation: scan the cheapest anchor among the step's
-  // options, measured by the adjacency range the scan will touch (exact
-  // label-range length on a snapshot, total adjacency on the live
-  // graph). The edges not chosen are verified as closure edges below.
-  size_t chosen_idx = 0;
-  if (step.anchor_options.size() > 1) {
-    size_t best_cost = SIZE_MAX;
-    for (size_t k = 0; k < step.anchor_options.size(); ++k) {
-      const AnchorOption& o = step.anchor_options[k];
-      const size_t cost =
-          g.NeighborScanCost((*binding)[o.anchor_node], o.anchor_out,
-                             pattern.edge(o.edge).label);
-      if (cost < best_cost) {
-        best_cost = cost;
-        chosen_idx = k;
-      }
+int CheapestAnchor(const GraphAccessor& g, const Pattern& pattern,
+                   const ExpansionStep& step, const Binding& binding) {
+  int best = 0;
+  size_t best_cost = SIZE_MAX;
+  for (size_t k = 0; k < step.anchor_options.size(); ++k) {
+    const AnchorOption& o = step.anchor_options[k];
+    const size_t cost = g.NeighborSeqLen(binding[o.anchor_node], o.anchor_out,
+                                         pattern.edge(o.edge).label);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = static_cast<int>(k);
     }
   }
-  const AnchorOption& chosen = step.anchor_options[chosen_idx];
-  const LabelId anchor_label = pattern.edge(chosen.edge).label;
-  const NodeId anchor = (*binding)[chosen.anchor_node];
-  const LabelId want_label = pattern.node(step.node).label;
-
-  // Everything past the label test for one label-matching candidate:
-  // scope/filter admission, closure-edge verification, literal pruning,
-  // and the recursive descent. Returns false to abort the whole scan.
-  auto visit = [&](NodeId cand) {
-    if (cfg.node_scope != nullptr && !cfg.node_scope->Contains(cand)) {
-      return true;
-    }
-    if (cfg.edge_filter != nullptr) {
-      const NodeId src = chosen.anchor_out ? anchor : cand;
-      const NodeId dst = chosen.anchor_out ? cand : anchor;
-      if (!cfg.edge_filter->Admit(chosen.edge, src, dst, anchor_label)) {
-        return true;
-      }
-    }
-    // Verify the remaining pattern edges into the matched prefix.
-    auto edge_holds = [&](int ce) {
-      const PatternEdge& pe = pattern.edge(ce);
-      const NodeId s = pe.src == step.node ? cand : (*binding)[pe.src];
-      const NodeId d = pe.dst == step.node ? cand : (*binding)[pe.dst];
-      return g.HasEdge(s, d, pe.label) &&
-             (cfg.edge_filter == nullptr ||
-              cfg.edge_filter->Admit(ce, s, d, pe.label));
-    };
-    bool ok = true;
-    for (int ce : step.check_edges) {
-      if (ce == chosen.edge) continue;  // promoted to anchor this step
-      if (!edge_holds(ce)) {
-        ok = false;
-        break;
-      }
-    }
-    // A non-default anchor choice demotes the default anchor edge to
-    // a closure check.
-    if (ok && chosen_idx != 0 && !edge_holds(step.anchor_edge)) {
-      ok = false;
-    }
-    if (!ok) return true;
-
-    (*binding)[step.node] = cand;
-    LiteralState child = ls;
-    StepOutcome out = EvalReadyLiterals(cfg, g, step.ready_x,
-                                        step.ready_y, *binding, &child);
-    bool keep_going = true;
-    if (out == StepOutcome::kContinue) {
-      keep_going =
-          Expand(cfg, g, plan, step_idx + 1, binding, child, callback);
-    }
-    (*binding)[step.node] = kInvalidNode;
-    return keep_going;
-  };
-
-  // Snapshot fast path: the candidate label filter over a contiguous CSR
-  // label range is a gather + compare against the flat node-label array,
-  // so run it block-compacted — branch-free `m += (label == want)` keeps
-  // the filter auto-vectorizable and the survivors (usually a small
-  // minority on selective labels) get the expensive per-candidate body
-  // from a dense stack buffer. Scope/filter configs and wildcard labels
-  // fall through to the generic scan, which needs per-candidate calls
-  // anyway.
-  if (g.is_snapshot() && cfg.edge_filter == nullptr &&
-      cfg.node_scope == nullptr && want_label != kWildcardLabel) {
-    const GraphSnapshot& snap = *g.snapshot();
-    const GraphSnapshot::IdRange r =
-        chosen.anchor_out ? snap.OutNeighbors(anchor, anchor_label)
-                          : snap.InNeighbors(anchor, anchor_label);
-    const LabelId* labels = snap.node_labels_data();
-    constexpr size_t kBlock = 256;
-    NodeId cands[kBlock];
-    for (size_t base = 0; base < r.size(); base += kBlock) {
-      // Bounded response even on a hub anchor's long adjacency scan:
-      // one cancellation poll per block.
-      if (cfg.cancel != nullptr && cfg.cancel->ShouldStop()) return false;
-      const size_t n = std::min(kBlock, r.size() - base);
-      size_t m = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const NodeId w = r.ptr[base + i];
-        cands[m] = w;
-        m += static_cast<size_t>(labels[w] == want_label);
-      }
-      for (size_t i = 0; i < m; ++i) {
-        if (!visit(cands[i])) return false;
-      }
-    }
-    return true;
-  }
-
-  return g.ForEachNeighbor(
-      anchor, chosen.anchor_out, anchor_label, [&](NodeId cand) {
-        // Bounded response even on a hub anchor's long adjacency scan.
-        if (cfg.cancel != nullptr && cfg.cancel->ShouldStop()) return false;
-        if (!g.NodeMatchesLabel(cand, want_label)) return true;
-        return visit(cand);
-      });
+  return best;
 }
 
-bool SeededSearchImpl(const SearchConfig& config, const GraphAccessor& g,
-                      const MatchPlan& plan, Binding* binding,
-                      const MatchCallback& callback) {
+bool AdmitSeeds(const SearchConfig& cfg, const GraphAccessor& g,
+                const MatchPlan& plan, const Binding& binding,
+                LiteralState* ls) {
   // Seeds must satisfy labels and scope.
   for (int s : plan.seeds) {
-    const NodeId v = (*binding)[s];
+    const NodeId v = binding[s];
     assert(v != kInvalidNode);
-    if (!g.NodeMatchesLabel(v, config.pattern->node(s).label)) return true;
-    if (config.node_scope != nullptr && !config.node_scope->Contains(v)) {
-      return true;
+    if (!g.NodeMatchesLabel(v, cfg.pattern->node(s).label)) return false;
+    if (cfg.node_scope != nullptr && !cfg.node_scope->Contains(v)) {
+      return false;
     }
   }
   // Seed-internal edges.
   for (int ce : plan.seed_check_edges) {
-    const PatternEdge& pe = config.pattern->edge(ce);
-    const NodeId s = (*binding)[pe.src];
-    const NodeId d = (*binding)[pe.dst];
-    if (!g.HasEdge(s, d, pe.label)) return true;
-    if (config.edge_filter != nullptr &&
-        !config.edge_filter->Admit(ce, s, d, pe.label)) {
-      return true;
+    const PatternEdge& pe = cfg.pattern->edge(ce);
+    const NodeId s = binding[pe.src];
+    const NodeId d = binding[pe.dst];
+    if (!g.HasEdge(s, d, pe.label)) return false;
+    if (cfg.edge_filter != nullptr &&
+        !cfg.edge_filter->Admit(ce, s, d, pe.label)) {
+      return false;
     }
   }
-  LiteralState ls;
-  StepOutcome out = EvalReadyLiterals(config, g, plan.seed_ready_x,
-                                      plan.seed_ready_y, *binding, &ls);
-  if (out == StepOutcome::kPrune) return true;
-  return Expand(config, g, plan, 0, binding, ls, callback);
+  return !PruneOnReadyLiterals(cfg, g, plan.seed_ready_x, plan.seed_ready_y,
+                               binding, ls);
 }
 
-}  // namespace
+}  // namespace match_internal
 
 bool RunSeededSearch(const SearchConfig& config, const MatchPlan& plan,
                      Binding* binding, const MatchCallback& callback) {
-  assert((config.graph != nullptr || config.snapshot != nullptr ||
-          config.delta_view != nullptr) &&
-         config.pattern != nullptr);
-  assert(!config.find_violations ||
-         (config.x != nullptr && config.y != nullptr));
-  return SeededSearchImpl(config, config.MakeAccessor(), plan, binding,
-                          callback);
+  AssertSearchable(config);
+  const GraphAccessor g = config.MakeAccessor();
+  CallbackHooks hooks{{}, &config, &callback};
+  return PlanWalk<CallbackHooks>(config, g, plan, &hooks).Seeded(binding);
 }
 
 bool RunBatchSearchWithPlan(const SearchConfig& config, int start,
                             const MatchPlan& plan,
                             const MatchCallback& callback) {
-  assert((config.graph != nullptr || config.snapshot != nullptr ||
-          config.delta_view != nullptr) &&
-         config.pattern != nullptr);
+  AssertSearchable(config);
   assert(plan.seeds.size() == 1 && plan.seeds[0] == start);
   const GraphAccessor g = config.MakeAccessor();
+  CallbackHooks hooks{{}, &config, &callback};
+  PlanWalk<CallbackHooks> walk(config, g, plan, &hooks);
   Binding binding(config.pattern->NumNodes(), kInvalidNode);
   return g.ForEachCandidate(config.pattern->node(start).label, [&](NodeId v) {
     binding[start] = v;
-    const bool keep_going = SeededSearchImpl(config, g, plan, &binding, callback);
+    const bool keep_going = walk.Seeded(&binding);
     binding[start] = kInvalidNode;
     return keep_going;
   });
@@ -237,9 +132,7 @@ bool RunBatchSearchWithPlan(const SearchConfig& config, int start,
 
 bool RunBatchSearch(const SearchConfig& config,
                     const MatchCallback& callback) {
-  assert((config.graph != nullptr || config.snapshot != nullptr ||
-          config.delta_view != nullptr) &&
-         config.pattern != nullptr);
+  AssertSearchable(config);
   const Pattern& pattern = *config.pattern;
   const int start = ChooseStartNode(pattern, config.MakeAccessor());
   const MatchPlan plan =

@@ -40,6 +40,59 @@ std::string FragmentPath(const std::string& prefix, int f) {
 
 }  // namespace
 
+RunLedger::RunLedger(int p, size_t num_rules, CancelToken* cancel,
+                     Deadline deadline)
+    : pending_(num_rules) {
+  if (cancel != nullptr || deadline.armed()) {
+    token_ = cancel != nullptr ? cancel : &owned_token_;
+    checks_.reserve(p);
+    for (int i = 0; i < p; ++i) checks_.emplace_back(token_, deadline);
+  }
+}
+
+bool RunLedger::Report(DetectRunInfo* info) const {
+  DetectRunInfo local_info;
+  if (info == nullptr) info = &local_info;
+  info->StartFull(pending_.size());
+  for (size_t r = 0; r < pending_.size(); ++r) {
+    if (pending_[r].load(std::memory_order_relaxed) != 0) {
+      info->rule_completed[r] = 0;
+      info->truncated = true;
+    }
+  }
+  return info->truncated;
+}
+
+WorkerVioSets::WorkerVioSets(int p, const VioSpillOptions* spill,
+                             std::string suffix)
+    : spill_(spill), suffix_(std::move(suffix)), local_(p) {
+  if (spill == nullptr) return;
+  VioSpillOptions wopts = *spill;
+  wopts.budget_bytes = spill->budget_bytes / static_cast<size_t>(p);
+  for (int i = 0; i < p; ++i) {
+    wopts.path_prefix = spill->path_prefix + suffix_ + ".w" + std::to_string(i);
+    local_[i].EnableSpill(wopts);
+  }
+}
+
+void WorkerVioSets::Retire(int worker) {
+  MutexLock lock(&mu_);
+  finished_.emplace_back(worker, std::move(local_[worker]));
+}
+
+void WorkerVioSets::MergeInto(VioSet* out) {
+  if (spill_ != nullptr) {
+    VioSpillOptions merged = *spill_;
+    merged.path_prefix += suffix_;
+    out->EnableSpill(merged);
+  }
+  MutexLock lock(&mu_);
+  std::sort(finished_.begin(), finished_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto& f : finished_) out->MergeDisjointUnchecked(std::move(f.second));
+  finished_.clear();
+}
+
 FragmentRuntime::FragmentRuntime(const Graph& g, int p, GraphView view,
                                  int halo_hops,
                                  const PartitionOptions& popts)

@@ -7,12 +7,15 @@
 // intvl (Fig 4(n)) — are first-class here: C steers the split/local
 // decision in the cost model, intvl the balancer's wake-up period.
 //
-// Three layers:
+// Layers:
 //   - WorkQueue<T>: one processor's deque of work units.
 //   - WorkStealingPool<T>: p queues + p worker threads with in-flight
 //     termination, cross-fragment forwarding, and idle-time work
 //     stealing; every unit that changes queues is charged one simulated
 //     message.
+//   - RunLedger / WorkerVioSets: the per-call bookkeeping both engines
+//     share — cancellation broadcast and per-rule completion, and the
+//     worker-local result sets with their spill shares and merge.
 //   - FragmentRuntime: the fragmented graph itself — p FragmentSnapshots
 //     (induced CSR + halo, parallel/fragment.h) built from one Partition,
 //     with per-fragment warm-start persistence; or one fragment over a
@@ -21,7 +24,10 @@
 // PDect runs fragment-native on a FragmentRuntime + WorkStealingPool;
 // PIncDect uses the pool with fragment ownership for pivot placement and
 // the paper's skew balancer layered on top (its candidate neighborhood
-// N_C is replicated at every processor, so its units run anywhere).
+// N_C is replicated at every processor, so its units run anywhere). Both
+// expand work units (parallel/work_unit.h) through the one match kernel,
+// PlanWalk (match/homomorphism.h); the engines only decide where a
+// partial match goes next.
 
 #ifndef NGD_PARALLEL_CLUSTER_H_
 #define NGD_PARALLEL_CLUSTER_H_
@@ -37,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "detect/violation.h"
 #include "parallel/fragment.h"
 #include "util/cancel.h"
 #include "util/thread_annotations.h"
@@ -320,6 +327,67 @@ class WorkStealingPool {
   std::function<void(int, T&)> process_;
   std::atomic<size_t> in_flight_{0};
   std::atomic<bool> done_{false};
+};
+
+/// Cancellation and per-rule completion of one parallel detection call.
+/// Every worker polls one shared token (engine-owned when only a deadline
+/// is given), so a deadline tripped by any worker — or an external
+/// Cancel — stops all of them. A work unit opens its rule when it is
+/// created and closes it only once fully processed; a rule still open
+/// after the pool drains had a unit dropped by the cancelled pool or
+/// aborted mid-expansion, so its enumeration is incomplete.
+class RunLedger {
+ public:
+  RunLedger(int p, size_t num_rules, CancelToken* cancel, Deadline deadline);
+
+  /// Null when the call is not cancellable (such runs never poll).
+  CancelToken* token() const { return token_; }
+  CancelCheck* check(int worker) {
+    return token_ != nullptr ? &checks_[worker] : nullptr;
+  }
+  void Open(int rule) {
+    pending_[rule].fetch_add(1, std::memory_order_relaxed);
+  }
+  void Close(int rule) {
+    pending_[rule].fetch_sub(1, std::memory_order_relaxed);
+  }
+  /// Records per-rule completion in `info` (a local record when null);
+  /// returns true iff some rule is incomplete.
+  bool Report(DetectRunInfo* info) const;
+
+ private:
+  CancelToken owned_token_;
+  CancelToken* token_ = nullptr;
+  std::vector<CancelCheck> checks_;  // one per worker
+  std::vector<std::atomic<uint32_t>> pending_;
+};
+
+/// Worker-local result sets of one parallel call. Slot i is confined to
+/// worker i while the pool runs (backpressured inline runs execute on the
+/// producing worker, so confinement holds); Retire hands it to a guarded
+/// merge list from the worker's own thread as it exits the pool — an
+/// explicit critical section the thread-safety analysis can check,
+/// instead of relying on join-order visibility.
+class WorkerVioSets {
+ public:
+  /// With `spill`, slot i spills under "<prefix><suffix>.w<i>" with 1/p
+  /// of the budget.
+  WorkerVioSets(int p, const VioSpillOptions* spill, std::string suffix);
+
+  VioSet& local(int worker) { return local_[worker]; }
+  void Retire(int worker) NGD_EXCLUDES(mu_);
+  /// Merges the retired sets into `out` in worker order, so the arena
+  /// layout is identical run to run. The engines' sets are globally
+  /// disjoint, so the merge is a rehash-free concatenation; `out` keeps
+  /// spilling under "<prefix><suffix>" with the full budget.
+  void MergeInto(VioSet* out) NGD_EXCLUDES(mu_);
+
+ private:
+  const VioSpillOptions* spill_;
+  const std::string suffix_;
+  std::vector<VioSet> local_;
+  Mutex mu_;
+  std::vector<std::pair<int, VioSet>> finished_ NGD_GUARDED_BY(mu_);
 };
 
 /// The fragmented graph: p FragmentSnapshots over one Partition. Owns the

@@ -7,17 +7,23 @@
 // is owner-computes: every match is seeded exactly once cluster-wide, by
 // the fragment that OWNS the candidate bound to the rule's start node
 // (FragmentCandidates enumerates owned candidates only). Expansion runs
+// the sequential engines' match kernel (PlanWalk, match/homomorphism.h)
 // against the fragment CSR; because every two nodes of one match are
 // within graph distance d_Σ of each other, the halo makes local
-// expansion exact (see parallel/fragment.h for the argument).
+// expansion exact whichever anchor the kernel picks (see
+// parallel/fragment.h for the argument).
 //
 // Boundary-crossing matches are resolved by the paper's §7 hybrid
-// policy, per expansion step with a non-owned (halo) anchor:
+// policy in the kernel's Ship hook, per expansion step whose chosen
+// anchor is non-owned (halo):
 //   - read the halo adjacency locally — one simulated message per
 //     halo-anchored adjacency scan (the replica must be fetched); or
 //   - forward the partial match to the anchor's owner when the cost
 //     model C·(k+1) + |adj|/p < |adj| says shipping k+1 bound nodes
-//     beats shipping the scan — one message, counted in `forwards`.
+//     beats shipping the scan — one message, counted in `forwards`. The
+//     unit carries the sender's anchor choice, which the owner scans
+//     without choosing again (its halo view of another anchor may look
+//     cheaper and would bounce the unit back).
 // Large owned adjacencies split into p slice units under the same cost
 // model (work-unit splitting, as in PIncDect), and idle processors steal
 // seed chunks across fragments; every stolen or forwarded unit is one
@@ -98,7 +104,6 @@ struct PDectResult {
   bool truncated = false;
   double elapsed_seconds = 0.0;
   size_t crossing_edges = 0;  ///< edge-cut of the fragmentation used
-  int fragments = 1;          ///< p actually used
   /// Communication / balancing counters. replicated_nodes = Σ_f |halo(f)|
   /// (actual replica volume); messages = halo scans + forwards + steals +
   /// split broadcasts. Over a caller snapshot there is one fragment, so

@@ -10,10 +10,15 @@
 //      BVio_i. Adjacency lists are logically partitioned: a split work
 //      unit carries the slice [begin, end) of the anchor's adjacency that
 //      the receiving processor owns (its partial copy v.adj_i).
-//   4. Each processor expands partial solutions: candidate filtering with
-//      the HYBRID cost model — expand locally when
+//   4. Each processor expands partial solutions through the sequential
+//      match kernel (PlanWalk, match/homomorphism.h), one step per work
+//      unit: its Descend hook spawns one child unit per extension, its
+//      Emit hook applies the canonical-pivot check, and its Ship hook
+//      applies the HYBRID cost model to the chosen anchor — expand
+//      locally when
 //          |adj| <= C·(k+1) + |adj|/p
-//      and otherwise broadcast p slice units (work-unit splitting).
+//      and otherwise broadcast p slice units (work-unit splitting) that
+//      carry the anchor choice.
 //      Verification of the remaining pattern edges is O(1) per edge here
 //      (hash edge index), so it is never worth splitting — a documented
 //      deviation from the paper, whose verification scans adjacency lists.

@@ -214,7 +214,6 @@ TEST_P(FragmentPDectTest, MatchesSequentialDectOnRandomWorkloads) {
     opts.num_processors = p;
     PDectResult r = PDect(*w.graph, w.sigma, opts);
     ExpectSameVio(oracle, r.vio);
-    EXPECT_EQ(r.fragments, p);
     if (p > 1) {
       // Halo replication is real whenever the cut is non-trivial.
       EXPECT_EQ(r.metrics.replicated_nodes > 0, r.crossing_edges > 0);

@@ -310,10 +310,12 @@ TEST_F(IncDectEdgeCaseTest, UpdateEdgeMatchedByTwoPatternEdgesOfOneRule) {
 
   // The folded match binds y = z = b; pattern edge 0 wins the tie-break.
   Binding folded{a, b, b};
-  EXPECT_TRUE(IsCanonicalPivot(g_, rules[0].pattern(), folded, index,
+  EXPECT_TRUE(IsCanonicalPivot(GraphAccessor(g_, GraphView::kNew),
+                               rules[0].pattern(), folded, index,
                                UpdateKind::kInsert, /*update_index=*/0,
                                /*pattern_edge=*/0));
-  EXPECT_FALSE(IsCanonicalPivot(g_, rules[0].pattern(), folded, index,
+  EXPECT_FALSE(IsCanonicalPivot(GraphAccessor(g_, GraphView::kNew),
+                                rules[0].pattern(), folded, index,
                                 UpdateKind::kInsert, /*update_index=*/0,
                                 /*pattern_edge=*/1));
 
